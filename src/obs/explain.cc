@@ -3,12 +3,15 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/json.h"
+
 namespace spire::obs {
 
 std::string ExplainLog::ToJsonLine(const EventProvenance& record) {
   std::ostringstream out;
-  out << "{\"kind\":\"event\",\"id\":" << record.id << ",\"type\":\""
-      << record.type << "\",\"object\":" << record.object
+  out << "{\"kind\":\"event\",\"id\":" << record.id << ",\"type\":\"";
+  EscapeInto(out, record.type);
+  out << "\",\"object\":" << record.object
       << ",\"location\":" << record.location
       << ",\"container\":" << record.container
       << ",\"start\":" << record.start << ",\"end\":" << record.end
@@ -17,7 +20,9 @@ std::string ExplainLog::ToJsonLine(const EventProvenance& record) {
       << ",\"inference_waves\":" << record.inference_waves
       << ",\"winner_posterior\":" << record.winner_posterior
       << ",\"runner_up_posterior\":" << record.runner_up_posterior
-      << ",\"stage\":\"" << record.stage << "\"}";
+      << ",\"stage\":\"";
+  EscapeInto(out, record.stage);
+  out << "\"}";
   return out.str();
 }
 
@@ -26,19 +31,25 @@ std::string ExplainLog::ToJsonLine(const SuppressionRecord& record) {
   out << "{\"kind\":\"suppressed\",\"object\":" << record.object
       << ",\"epoch\":" << record.epoch
       << ",\"covering_container\":" << record.covering_container
-      << ",\"reason\":\"" << record.reason << "\"}";
+      << ",\"reason\":\"";
+  EscapeInto(out, record.reason);
+  out << "\"}";
   return out.str();
 }
 
 std::string ExplainLog::ToJsonLine(const MatchRecord& record) {
   std::ostringstream out;
-  out << "{\"kind\":\"match\",\"pattern\":\"" << record.pattern
-      << "\",\"binding\":{";
+  out << "{\"kind\":\"match\",\"pattern\":\"";
+  EscapeInto(out, record.pattern);
+  out << "\",\"binding\":{";
   for (std::size_t i = 0; i < record.binding.size(); ++i) {
-    const std::string var = i < record.variables.size()
-                                ? record.variables[i]
-                                : "v" + std::to_string(i);
-    out << (i > 0 ? "," : "") << "\"" << var << "\":" << record.binding[i];
+    out << (i > 0 ? ",\"" : "\"");
+    if (i < record.variables.size()) {
+      EscapeInto(out, record.variables[i]);
+    } else {
+      out << "v" << i;
+    }
+    out << "\":" << record.binding[i];
   }
   out << "},\"step_epochs\":[";
   for (std::size_t i = 0; i < record.step_epochs.size(); ++i) {

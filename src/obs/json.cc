@@ -213,21 +213,6 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void EscapeInto(std::ostream& out, const std::string& text) {
-  for (char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\b': out << "\\b"; break;
-      case '\f': out << "\\f"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default: out << c;
-    }
-  }
-}
-
 void SerializeInto(std::ostream& out, const JsonValue& value) {
   switch (value.type) {
     case JsonValue::Type::kNull:
@@ -269,6 +254,21 @@ void SerializeInto(std::ostream& out, const JsonValue& value) {
 }
 
 }  // namespace
+
+void EscapeInto(std::ostream& out, std::string_view text) {
+  for (char c : text) {
+    switch (c) {
+      case '"': out << "\\\""; break;
+      case '\\': out << "\\\\"; break;
+      case '\b': out << "\\b"; break;
+      case '\f': out << "\\f"; break;
+      case '\n': out << "\\n"; break;
+      case '\r': out << "\\r"; break;
+      case '\t': out << "\\t"; break;
+      default: out << c;
+    }
+  }
+}
 
 const JsonValue* JsonValue::Find(std::string_view key) const {
   for (const auto& [name, member] : object) {

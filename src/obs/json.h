@@ -5,9 +5,11 @@
 // them); serialization re-emits exactly that text, which makes
 // parse -> serialize -> parse a faithful round-trip test. Used by
 // tests/obs_test.cc (trace-file well-formedness), `spire_cli obscheck`
-// (the CI obs smoke step), and nothing on any hot path.
+// (the CI obs smoke step), and nothing on any hot path. Its string escaper,
+// EscapeInto, is shared with the explain log's JSONL writer (obs/explain).
 #pragma once
 
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -39,5 +41,9 @@ struct JsonValue {
 
 /// Parses one complete JSON document; trailing non-whitespace is an error.
 Result<JsonValue> ParseJson(std::string_view text);
+
+/// Writes `text` as the body of a JSON string literal (no quotes), escaping
+/// `"`, `\`, and the \b \f \n \r \t control characters.
+void EscapeInto(std::ostream& out, std::string_view text);
 
 }  // namespace spire::obs

@@ -1,6 +1,8 @@
 #include "query/block_cache.h"
 
+#include <algorithm>
 #include <atomic>
+#include <numeric>
 
 #include "obs/registry.h"
 
@@ -31,11 +33,89 @@ std::uint64_t KeyOf(std::uint64_t segment_tag, std::uint32_t block_index) {
   return (segment_tag << 32) | block_index;
 }
 
-std::uint64_t CostOf(const EventStream& block) {
-  return block.size() * sizeof(Event) + BlockCache::kEntryOverheadBytes;
+constexpr std::uint32_t kEmptySlot = ~std::uint32_t{0};
+
+std::size_t SlotHash(ObjectId key, bool container) {
+  // Fibonacci hashing: EPC serials differ in the low bits, which the
+  // multiply spreads into the high half. A pallet is both an object and a
+  // container; complementing container keys keeps its two runs apart.
+  const std::uint64_t bits = container ? ~key : key;
+  return static_cast<std::size_t>((bits * 0x9E3779B97F4A7C15ull) >> 32);
+}
+
+std::uint64_t CostOf(const DecodedBlock& block) {
+  return DecodedBlock::FootprintFor(block.events().size()) +
+         BlockCache::kEntryOverheadBytes;
 }
 
 }  // namespace
+
+void DecodedBlock::BuildIndex() const {
+  const std::size_t n = events_.size();
+  const auto contained = std::count_if(
+      events_.begin(), events_.end(),
+      [](const Event& event) { return IsContainmentEvent(event.type); });
+  std::vector<std::uint32_t> positions(n);
+  positions.reserve(n + static_cast<std::size_t>(contained));
+  std::iota(positions.begin(), positions.end(), 0u);
+  std::sort(positions.begin(), positions.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              const ObjectId lhs = events_[a].object;
+              const ObjectId rhs = events_[b].object;
+              return lhs != rhs ? lhs < rhs : a < b;
+            });
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (IsContainmentEvent(events_[i].type)) positions.push_back(i);
+  }
+  std::stable_sort(positions.begin() + static_cast<std::ptrdiff_t>(n),
+                   positions.end(), [this](std::uint32_t a, std::uint32_t b) {
+                     return events_[a].container < events_[b].container;
+                   });
+  index_positions_ = std::move(positions);
+  index_slots_.assign(SlotsFor(n), kEmptySlot);
+  const std::size_t mask = index_slots_.size() - 1;
+  for (std::uint32_t run = 0; run < index_positions_.size(); ++run) {
+    const ObjectId key = KeyAt(run);
+    if (run != 0 && run != n && KeyAt(run - 1) == key) continue;
+    std::size_t slot = SlotHash(key, run >= n) & mask;
+    while (index_slots_[slot] != kEmptySlot) slot = (slot + 1) & mask;
+    index_slots_[slot] = run;
+  }
+  index_ready_.store(true, std::memory_order_release);
+}
+
+ObjectId DecodedBlock::KeyAt(std::size_t i) const {
+  const Event& event = events_[index_positions_[i]];
+  return i < events_.size() ? event.object : event.container;
+}
+
+std::span<const std::uint32_t> DecodedBlock::FindRun(ObjectId key,
+                                                     bool container) const {
+  const std::size_t n = events_.size();
+  const std::size_t mask = index_slots_.size() - 1;
+  for (std::size_t slot = SlotHash(key, container) & mask;;
+       slot = (slot + 1) & mask) {
+    const std::uint32_t run = index_slots_[slot];
+    if (run == kEmptySlot) return {};
+    if ((run >= n) != container || KeyAt(run) != key) continue;
+    const std::size_t limit = container ? index_positions_.size() : n;
+    std::size_t end = run + 1;
+    while (end < limit && KeyAt(end) == key) ++end;
+    return {index_positions_.data() + run, end - run};
+  }
+}
+
+std::span<const std::uint32_t> DecodedBlock::PositionsOf(
+    ObjectId object) const {
+  std::call_once(index_once_, [this] { BuildIndex(); });
+  return FindRun(object, /*container=*/false);
+}
+
+std::optional<std::span<const std::uint32_t>>
+DecodedBlock::IndexedContainmentPositionsOf(ObjectId container) const {
+  if (!index_ready_.load(std::memory_order_acquire)) return std::nullopt;
+  return FindRun(container, /*container=*/true);
+}
 
 BlockCache::BlockCache(std::uint64_t capacity_bytes, std::size_t num_shards)
     : capacity_bytes_(capacity_bytes) {

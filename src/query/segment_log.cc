@@ -1,6 +1,8 @@
 #include "query/segment_log.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 
 #include "compress/fold.h"
 #include "obs/registry.h"
@@ -32,6 +34,11 @@ void CountQuery() {
 
 bool IsLocationKind(const Event& event) {
   return !IsContainmentEvent(event.type);
+}
+
+/// A Collect narrowing that never narrows: every block is scanned.
+std::optional<std::span<const std::uint32_t>> ScanAll(const DecodedBlock&) {
+  return std::nullopt;
 }
 
 }  // namespace
@@ -91,23 +98,50 @@ Result<BlockCache::BlockPtr> SegmentLog::FetchBlock(
     instruments->blocks_decoded->Add(1);
   }
   auto block =
-      std::make_shared<const EventStream>(std::move(decoded).value());
+      std::make_shared<const DecodedBlock>(std::move(decoded).value());
   if (cache_ != nullptr) cache_->Put(segment_tag_, index, block);
   return block;
 }
 
-template <typename Keep>
+template <typename Narrow, typename Keep>
 Result<EventStream> SegmentLog::Collect(
-    const std::vector<std::uint32_t>& blocks, Keep keep) const {
+    const std::vector<std::uint32_t>& blocks, Narrow narrow,
+    Keep keep) const {
   EventStream selected;
   for (std::uint32_t index : blocks) {
     auto block = FetchBlock(index);
     if (!block.ok()) return block.status();
-    for (const Event& event : *block.value()) {
+    const EventStream& events = block.value()->events();
+    const std::optional<std::span<const std::uint32_t>> positions =
+        narrow(*block.value());
+    if (!positions.has_value()) {
+      for (const Event& event : events) {
+        if (keep(event)) selected.push_back(event);
+      }
+      continue;
+    }
+    for (std::uint32_t position : *positions) {
+      const Event& event = events[position];
       if (keep(event)) selected.push_back(event);
     }
   }
   return selected;
+}
+
+template <typename Keep>
+Result<EventStream> SegmentLog::CollectObject(
+    const std::vector<std::uint32_t>& blocks, ObjectId object,
+    Keep keep) const {
+  return Collect(
+      blocks,
+      [&](const DecodedBlock& block)
+          -> std::optional<std::span<const std::uint32_t>> {
+        // An uncached block is decoded for this query alone; indexing it
+        // would cost more than the scan it saves.
+        if (cache_ == nullptr) return std::nullopt;
+        return block.PositionsOf(object);
+      },
+      keep);
 }
 
 Result<LocationId> SegmentLog::LocationAt(ObjectId object,
@@ -116,8 +150,8 @@ Result<LocationId> SegmentLog::LocationAt(ObjectId object,
   const std::vector<std::uint32_t>* postings =
       reader_.PostingsForObject(object);
   if (postings == nullptr) return kUnknownLocation;
-  auto selected =
-      Collect(CandidateBlocks(*postings, epoch), [&](const Event& event) {
+  auto selected = CollectObject(
+      CandidateBlocks(*postings, epoch), object, [&](const Event& event) {
         return event.object == object &&
                (event.type == EventType::kStartLocation ||
                 event.type == EventType::kEndLocation);
@@ -138,8 +172,8 @@ Result<ObjectId> SegmentLog::ContainerAt(ObjectId object, Epoch epoch) const {
   const std::vector<std::uint32_t>* postings =
       reader_.PostingsForObject(object);
   if (postings == nullptr) return kNoObject;
-  auto selected =
-      Collect(CandidateBlocks(*postings, epoch), [&](const Event& event) {
+  auto selected = CollectObject(
+      CandidateBlocks(*postings, epoch), object, [&](const Event& event) {
         return event.object == object && IsContainmentEvent(event.type);
       });
   if (!selected.ok()) return selected.status();
@@ -157,8 +191,14 @@ Status SegmentLog::AppendContents(ObjectId container, Epoch epoch,
   const std::vector<std::uint32_t>* postings =
       reader_.PostingsForContainer(container);
   if (postings == nullptr) return Status::OK();
-  auto selected =
-      Collect(CandidateBlocks(*postings, epoch), [&](const Event& event) {
+  // A block indexed by an earlier object-keyed lookup narrows to this
+  // container's events; any other block is scanned.
+  auto selected = Collect(
+      CandidateBlocks(*postings, epoch),
+      [&](const DecodedBlock& block) {
+        return block.IndexedContainmentPositionsOf(container);
+      },
+      [&](const Event& event) {
         return IsContainmentEvent(event.type) && event.container == container;
       });
   if (!selected.ok()) return selected.status();
@@ -203,8 +243,9 @@ Result<std::vector<ObjectId>> SegmentLog::ObjectsAt(LocationId location,
   const std::vector<std::uint32_t>* postings =
       reader_.PostingsForLocation(location);
   if (postings == nullptr) return objects;
-  auto selected =
-      Collect(CandidateBlocks(*postings, epoch), [&](const Event& event) {
+  auto selected = Collect(
+      CandidateBlocks(*postings, epoch), ScanAll,
+      [&](const Event& event) {
         return IsLocationKind(event) && event.location == location;
       });
   if (!selected.ok()) return selected.status();
@@ -225,7 +266,7 @@ Result<std::vector<Stay>> SegmentLog::TrajectoryOf(ObjectId object) const {
       reader_.PostingsForObject(object);
   if (postings == nullptr) return trajectory;
   // Timeline query: no epoch cut — every posting block participates.
-  auto selected = Collect(*postings, [&](const Event& event) {
+  auto selected = CollectObject(*postings, object, [&](const Event& event) {
     return event.object == object &&
            (event.type == EventType::kStartLocation ||
             event.type == EventType::kEndLocation);
@@ -249,8 +290,8 @@ Result<bool> SegmentLog::IsMissingAt(ObjectId object, Epoch epoch) const {
   if (postings == nullptr) return false;
   // Missing reports close at the object's next location stay, so the fold
   // needs both kinds of location events.
-  auto selected =
-      Collect(CandidateBlocks(*postings, epoch), [&](const Event& event) {
+  auto selected = CollectObject(
+      CandidateBlocks(*postings, epoch), object, [&](const Event& event) {
         return event.object == object && IsLocationKind(event);
       });
   if (!selected.ok()) return selected.status();

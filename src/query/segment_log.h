@@ -19,6 +19,12 @@
 //   3. Decode only those blocks — through the shared BlockCache when one is
 //      attached, so hot blocks skip the codec entirely — filter to the
 //      query's key, and fold just that slice (compress/fold) into stays.
+//      Object-keyed queries on a cached block filter only the positions
+//      its object index returns (ascending, so the slice is the one a scan
+//      would select), building the index on first use. Container queries
+//      use the index's container part when an object-keyed lookup has
+//      already built it, and scan otherwise; location queries, and every
+//      query without a cache, scan the block.
 //
 // Filtered folds are exact because archived streams are well-formed
 // (compress/well_formed): an End names its Start's location/container, so
@@ -104,10 +110,18 @@ class SegmentLog {
   Result<BlockCache::BlockPtr> FetchBlock(std::uint32_t index) const;
 
   /// Concatenation of the listed blocks' events passing `keep`, in stream
-  /// order.
-  template <typename Keep>
+  /// order. `narrow(block)` returns the ascending positions an index holds
+  /// for the query's key, the only events `keep` can pass, or std::nullopt
+  /// to scan the whole block.
+  template <typename Narrow, typename Keep>
   Result<EventStream> Collect(const std::vector<std::uint32_t>& blocks,
-                              Keep keep) const;
+                              Narrow narrow, Keep keep) const;
+
+  /// Collect for a `keep` that only passes `object`'s events: with a cache
+  /// attached, visits only the positions each block's object index returns.
+  template <typename Keep>
+  Result<EventStream> CollectObject(const std::vector<std::uint32_t>& blocks,
+                                    ObjectId object, Keep keep) const;
 
   Status AppendContents(ObjectId container, Epoch epoch, bool transitive,
                         std::vector<ObjectId>* out,

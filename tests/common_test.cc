@@ -383,7 +383,8 @@ TEST(LogTest, ConcurrentWritersNeverInterleaveWithinALine) {
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([t] {
-      const std::string component = "w" + std::to_string(t);
+      std::string component = "w";
+      component += std::to_string(t);
       for (int i = 0; i < kLines; ++i) {
         LogInfo(component, "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx");
       }

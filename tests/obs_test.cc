@@ -586,6 +586,28 @@ TEST(ExplainLogTest, JsonlRecordsParse) {
   EXPECT_EQ(lines, 2u);
 }
 
+TEST(ExplainLogTest, MatchRecordEscapesPatternAndVariableNames) {
+  MatchRecord record;
+  record.pattern = "bad\"name\\x";
+  record.variables = {"o\"b\\j"};
+  record.binding = {42, 7};  // The second variable is unnamed: "v1".
+  record.step_epochs = {3};
+  record.completion = 5;
+  record.event_ids = {9};
+  const std::string line = ExplainLog::ToJsonLine(record);
+  auto parsed = ParseJson(line);
+  ASSERT_TRUE(parsed.ok()) << line << ": " << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().Find("kind")->text, "match");
+  EXPECT_EQ(parsed.value().Find("pattern")->text, record.pattern);
+  const JsonValue* binding = parsed.value().Find("binding");
+  ASSERT_NE(binding, nullptr);
+  ASSERT_EQ(binding->object.size(), 2u);
+  EXPECT_EQ(binding->object[0].first, record.variables[0]);
+  EXPECT_EQ(binding->object[0].second.text, "42");
+  EXPECT_EQ(binding->object[1].first, "v1");
+  EXPECT_EQ(binding->object[1].second.text, "7");
+}
+
 TEST(JsonTest, NumbersStayVerbatim) {
   // kNoObject is 2^64-1: beyond double precision, so the parser must not
   // go through a double.

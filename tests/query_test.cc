@@ -4,7 +4,10 @@
 // end-to-end check against the simulator's ground truth.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <filesystem>
+#include <span>
 #include <thread>
 
 #include "common/epc.h"
@@ -285,7 +288,10 @@ TEST(EventLogArchiveTest, FromArchiveRangeBoundaries) {
 class SegmentLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/segment_log.sparc";
+    // One file per test: ctest runs this fixture's tests in parallel.
+    path_ = ::testing::TempDir() + "/segment_log_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".sparc";
     std::error_code ec;
     std::filesystem::remove(path_, ec);
     std::filesystem::remove(IndexPathFor(path_), ec);
@@ -304,6 +310,12 @@ class SegmentLogTest : public ::testing::Test {
     auto baseline = EventLog::FromArchive(log_->reader(), 0, kInfiniteEpoch);
     ASSERT_TRUE(baseline.ok());
     baseline_ = std::make_unique<EventLog>(std::move(baseline).value());
+  }
+
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove(path_, ec);
+    std::filesystem::remove(IndexPathFor(path_), ec);
   }
 
   std::string path_;
@@ -424,12 +436,12 @@ TEST_F(SegmentLogTest, ConcurrentQueriesAgree) {
 // --- Block cache (src/query/block_cache) ------------------------------------
 
 BlockCache::BlockPtr BlockOf(std::size_t events) {
-  return std::make_shared<const EventStream>(
+  return std::make_shared<const DecodedBlock>(
       EventStream(events, Event::StartLocation(kItem, 4, 10)));
 }
 
 std::uint64_t CostOf(std::size_t events) {
-  return events * sizeof(Event) + BlockCache::kEntryOverheadBytes;
+  return DecodedBlock::FootprintFor(events) + BlockCache::kEntryOverheadBytes;
 }
 
 TEST(BlockCacheTest, MissThenHit) {
@@ -490,7 +502,7 @@ TEST(BlockCacheTest, EvictedBlockOutlivesEvictionWhileHeld) {
   ASSERT_NE(held, nullptr);
   cache.Put(tag, 1, BlockOf(1));  // Evicts key 0.
   EXPECT_EQ(cache.Get(tag, 0), nullptr);
-  EXPECT_EQ(held->size(), 1u);  // The shared_ptr keeps it alive.
+  EXPECT_EQ(held->events().size(), 1u);  // The shared_ptr keeps it alive.
 }
 
 TEST(BlockCacheTest, ConcurrentGetPut) {
@@ -512,6 +524,251 @@ TEST(BlockCacheTest, ConcurrentGetPut) {
   const BlockCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.lookups, kThreads * 200u);
   EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
+}
+
+/// SampleStream with a second item and more containment interleaved, so
+/// every object's location and containment events sit between other
+/// objects' events.
+EventStream InterleavedStream() {
+  return {
+      Event::StartLocation(kItem, 4, 10),
+      Event::StartLocation(kItem2, 5, 10),
+      Event::StartLocation(kCase, 4, 10),
+      Event::StartContainment(kItem, kCase, 12),
+      Event::StartContainment(kItem2, kCase, 13),
+      Event::StartContainment(kCase, kPallet, 15),
+      Event::EndLocation(kItem, 4, 10, 20),
+      Event::Missing(kItem, 4, 20),
+      Event::EndLocation(kItem2, 5, 10, 22),
+      Event::StartLocation(kItem2, 7, 22),
+      Event::StartLocation(kItem, 7, 25),
+      Event::EndContainment(kItem2, kCase, 13, 28),
+      Event::EndContainment(kCase, kPallet, 15, 30),
+      Event::EndContainment(kItem, kCase, 12, 40),
+      Event::EndLocation(kItem, 7, 25, 50),
+      Event::Missing(kItem, 7, 50),
+      Event::EndLocation(kItem2, 7, 22, 55),
+      Event::EndLocation(kCase, 4, 10, 60),
+  };
+}
+
+/// The positions a plain scan of `events` selects for `object`.
+std::vector<std::uint32_t> ScanPositions(const EventStream& events,
+                                         ObjectId object) {
+  std::vector<std::uint32_t> positions;
+  for (std::uint32_t i = 0; i < events.size(); ++i) {
+    if (events[i].object == object) positions.push_back(i);
+  }
+  return positions;
+}
+
+std::vector<std::uint32_t> IndexPositions(const DecodedBlock& block,
+                                          ObjectId object) {
+  const std::span<const std::uint32_t> positions = block.PositionsOf(object);
+  return {positions.begin(), positions.end()};
+}
+
+/// The positions a plain scan of `events` selects for ContentsAt(container).
+std::vector<std::uint32_t> ScanContainmentPositions(const EventStream& events,
+                                                    ObjectId container) {
+  std::vector<std::uint32_t> positions;
+  for (std::uint32_t i = 0; i < events.size(); ++i) {
+    if (IsContainmentEvent(events[i].type) &&
+        events[i].container == container) {
+      positions.push_back(i);
+    }
+  }
+  return positions;
+}
+
+/// The container part of `block`'s index for `container`; fails the test
+/// when the index is not built.
+std::vector<std::uint32_t> IndexContainmentPositions(const DecodedBlock& block,
+                                                     ObjectId container) {
+  const auto positions = block.IndexedContainmentPositionsOf(container);
+  EXPECT_TRUE(positions.has_value()) << container;
+  if (!positions.has_value()) return {};
+  return {positions->begin(), positions->end()};
+}
+
+TEST(BlockCacheTest, ObjectIndexMatchesScanOnInterleavedBlock) {
+  const DecodedBlock block(InterleavedStream());
+  for (ObjectId object : {kItem, kItem2, kCase}) {
+    const std::vector<std::uint32_t> expected =
+        ScanPositions(block.events(), object);
+    EXPECT_FALSE(expected.empty());
+    EXPECT_EQ(IndexPositions(block, object), expected) << object;
+  }
+}
+
+TEST(BlockCacheTest, ObjectIndexOfAbsentKeyIsEmpty) {
+  const DecodedBlock block(InterleavedStream());
+  // kPallet is only ever a container; the others fall below, between and
+  // above the indexed objects.
+  for (ObjectId object : {kPallet, ObjectId{0}, Obj(PackagingLevel::kItem, 99),
+                          kCase + 1, kNoObject}) {
+    ASSERT_TRUE(ScanPositions(block.events(), object).empty());
+    EXPECT_TRUE(block.PositionsOf(object).empty()) << object;
+  }
+  EXPECT_TRUE(DecodedBlock(EventStream{}).PositionsOf(kItem).empty());
+}
+
+TEST(BlockCacheTest, ContainerIndexRidesOnTheObjectIndex) {
+  const DecodedBlock block(InterleavedStream());
+  // A container lookup never builds the index.
+  EXPECT_FALSE(block.IndexedContainmentPositionsOf(kCase).has_value());
+  EXPECT_FALSE(block.IndexedContainmentPositionsOf(kCase).has_value());
+  EXPECT_FALSE(block.PositionsOf(kItem).empty());
+  // kPallet is only a container, kCase both a container and an object.
+  for (ObjectId container : {kCase, kPallet}) {
+    const std::vector<std::uint32_t> expected =
+        ScanContainmentPositions(block.events(), container);
+    EXPECT_FALSE(expected.empty());
+    EXPECT_EQ(IndexContainmentPositions(block, container), expected)
+        << container;
+  }
+  // Absent containers: objects that contain nothing, keys outside the
+  // block, and kNoObject, which location events carry as their container.
+  for (ObjectId container : {kItem, kItem2, ObjectId{0}, kPallet + 1,
+                             Obj(PackagingLevel::kItem, 99), kNoObject}) {
+    ASSERT_TRUE(ScanContainmentPositions(block.events(), container).empty());
+    EXPECT_TRUE(IndexContainmentPositions(block, container).empty())
+        << container;
+  }
+  const DecodedBlock empty{EventStream{}};
+  EXPECT_TRUE(empty.PositionsOf(kItem).empty());
+  EXPECT_TRUE(IndexContainmentPositions(empty, kCase).empty());
+}
+
+TEST(BlockCacheTest, ConcurrentFirstUseOfOneBlocksIndex) {
+  constexpr int kThreads = 4;
+  const std::vector<ObjectId> objects{kItem, kItem2, kCase, kPallet};
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto block =
+        std::make_shared<const DecodedBlock>(InterleavedStream());
+    std::atomic<int> ready{0};
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        // Line the threads up so their first lookups race on the build.
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        for (std::size_t k = 0; k < objects.size(); ++k) {
+          const ObjectId object = objects[(t + k) % objects.size()];
+          if (IndexPositions(*block, object) !=
+              ScanPositions(block->events(), object)) {
+            ++mismatches[t];
+          }
+          // Published with the object part: visible once PositionsOf
+          // returns, whichever thread built it.
+          const auto contained =
+              block->IndexedContainmentPositionsOf(object);
+          if (!contained.has_value() ||
+              std::vector<std::uint32_t>(contained->begin(),
+                                         contained->end()) !=
+                  ScanContainmentPositions(block->events(), object)) {
+            ++mismatches[t];
+          }
+        }
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
+    for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0);
+  }
+}
+
+TEST(BlockCacheTest, BytesChargeTheIndexBound) {
+  BlockCache cache(1 << 20, /*num_shards=*/1);
+  const std::uint64_t tag = BlockCache::NextSegmentTag();
+  const auto block =
+      std::make_shared<const DecodedBlock>(InterleavedStream());
+  const std::size_t n = block->events().size();
+  cache.Put(tag, 0, block);
+  // One object position per event, at most one container position per
+  // event, and a slot table with room for both kinds of key.
+  const std::uint64_t index_bytes =
+      (2 * n + std::bit_ceil(2 * n + 1)) * sizeof(std::uint32_t);
+  const std::uint64_t charged =
+      n * sizeof(Event) + index_bytes + BlockCache::kEntryOverheadBytes;
+  EXPECT_EQ(cache.GetStats().bytes, charged);
+  // Charged up front, so building the index moves nothing.
+  EXPECT_FALSE(block->PositionsOf(kItem).empty());
+  EXPECT_EQ(cache.GetStats().bytes, charged);
+}
+
+// Object- and container-keyed answers served through the cache (the index
+// paths) equal an uncached log's (the plain scan) and the materialized
+// EventLog's, with every object's events interleaved with others' in one
+// block and across several. Container lookups run first in each round:
+// the first round scans unindexed blocks, the second reads the container
+// index the object lookups built.
+TEST(ObjectIndexCacheTest, AnswersEqualPlainScan) {
+  const std::vector<ObjectId> objects{kItem, kItem2, kCase, kPallet,
+                                      Obj(PackagingLevel::kItem, 99)};
+  for (std::size_t block_events : {std::size_t{64}, std::size_t{5}}) {
+    const std::string path = ::testing::TempDir() + "/object_index.sparc";
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    std::filesystem::remove(IndexPathFor(path), ec);
+    ArchiveOptions options;
+    options.block_events = block_events;
+    auto writer = ArchiveWriter::Open(path, options);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer.value()->Append(InterleavedStream()).ok());
+    ASSERT_TRUE(writer.value()->Close().ok());
+
+    auto cache = std::make_shared<BlockCache>(1 << 20);
+    auto indexed = SegmentLog::Open(path, ReaderOptions{}, cache);
+    auto scanned = SegmentLog::Open(path);
+    ASSERT_TRUE(indexed.ok());
+    ASSERT_TRUE(scanned.ok());
+    auto baseline =
+        EventLog::FromArchive(scanned.value()->reader(), 0, kInfiniteEpoch);
+    ASSERT_TRUE(baseline.ok());
+    const SegmentLog& a = *indexed.value();
+    const SegmentLog& b = *scanned.value();
+    // Twice, so the second round is served from warm, indexed blocks.
+    for (int round = 0; round < 2; ++round) {
+      for (ObjectId container : {kCase, kPallet, kItem}) {
+        for (Epoch epoch = 0; epoch <= 70; ++epoch) {
+          for (bool transitive : {false, true}) {
+            EXPECT_EQ(a.ContentsAt(container, epoch, transitive).value(),
+                      b.ContentsAt(container, epoch, transitive).value());
+            EXPECT_EQ(a.ContentsAt(container, epoch, transitive).value(),
+                      baseline.value().ContentsAt(container, epoch,
+                                                  transitive));
+          }
+        }
+      }
+      for (ObjectId object : objects) {
+        EXPECT_EQ(a.TrajectoryOf(object).value(),
+                  b.TrajectoryOf(object).value());
+        EXPECT_EQ(a.TrajectoryOf(object).value(),
+                  baseline.value().TrajectoryOf(object));
+        for (Epoch epoch = 0; epoch <= 70; ++epoch) {
+          EXPECT_EQ(a.LocationAt(object, epoch).value(),
+                    b.LocationAt(object, epoch).value());
+          EXPECT_EQ(a.LocationAt(object, epoch).value(),
+                    baseline.value().LocationAt(object, epoch));
+          EXPECT_EQ(a.ContainerAt(object, epoch).value(),
+                    b.ContainerAt(object, epoch).value());
+          EXPECT_EQ(a.ContainerAt(object, epoch).value(),
+                    baseline.value().ContainerAt(object, epoch));
+          EXPECT_EQ(a.IsMissingAt(object, epoch).value(),
+                    b.IsMissingAt(object, epoch).value());
+          EXPECT_EQ(a.IsMissingAt(object, epoch).value(),
+                    baseline.value().IsMissingAt(object, epoch));
+        }
+      }
+    }
+    const BlockCache::Stats stats = cache->GetStats();
+    EXPECT_GT(stats.hits, 0u);
+    EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
+    EXPECT_LE(a.blocks_decoded(), stats.misses);
+    std::filesystem::remove(path, ec);
+    std::filesystem::remove(IndexPathFor(path), ec);
+  }
 }
 
 TEST(EventLogEndToEndTest, QueriesMatchGroundTruth) {

@@ -11,6 +11,10 @@ the baseline committed at the repo root and flags regressions:
   * everything else (counts, peak_rss_bytes, hardware_threads) is
     reported but never gated.
 
+When the two reports were recorded with different hardware_threads, a
+warning naming both values is printed first: parallel numbers from
+machines of different width are not comparable. The gates are unchanged.
+
 By default the comparison is SOFT: regressions are printed and the exit
 code is 0, because wall-clock on shared CI machines is too noisy for a
 hard gate (same policy as the expt11 disabled-overhead check in
@@ -61,6 +65,12 @@ def main():
         baseline = json.load(f)
     with open(args.fresh) as f:
         fresh = json.load(f)
+
+    threads = (baseline.get("hardware_threads"), fresh.get("hardware_threads"))
+    if threads[0] != threads[1]:
+        print(f"bench_compare: WARNING: hardware_threads differ (baseline "
+              f"{threads[0]}, current {threads[1]}); parallel numbers are "
+              f"not comparable across machines")
 
     regressions = []
     rows = []

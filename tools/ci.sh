@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Local CI: configure, build, and run the test suite in three
-# configurations — plain, ASan+UBSan (SPIRE_SANITIZE=ON), and TSan
-# (SPIRE_SANITIZE=thread, concurrency tests only: the serving layer's
-# queue/merger/serve suites). Any warning is an error in every
+# Local CI: configure, build, and run the test suite in four
+# configurations — plain, Release (every target at -O3, whose extra
+# warnings -Werror also turns into errors), ASan+UBSan (SPIRE_SANITIZE=ON),
+# and TSan (SPIRE_SANITIZE=thread, concurrency tests only: the serving
+# layer's queue/merger/serve suites). Any warning is an error in every
 # configuration (-Werror is always on). After ctest, the plain and
 # sanitized configurations replay the spire_fuzz seed corpus
 # (tools/fuzz_seeds.txt) through the differential oracle battery
@@ -35,8 +36,9 @@
 # The TSan leg repeats the loopback half only — fork with running threads
 # is out of bounds under the sanitizer.
 #
-#   tools/ci.sh            # all three configurations
+#   tools/ci.sh            # all four configurations
 #   tools/ci.sh plain      # plain only
+#   tools/ci.sh release    # Release build + ctest only
 #   tools/ci.sh sanitize   # ASan+UBSan only
 #   tools/ci.sh tsan       # ThreadSanitizer only (serve/queue/merger tests)
 set -euo pipefail
@@ -57,6 +59,19 @@ run_config() {
   echo "=== [$name] fuzz (differential oracles) ==="
   "$dir/tools/spire_fuzz" --seeds tools/fuzz_seeds.txt --budget 30s \
     --out-dir "$dir/fuzz-repros"
+}
+
+# The Release leg builds every target with the optimizer's extra
+# diagnostics (-O3 inlining exposes warnings the default -O2 build does
+# not report) and runs the whole test suite on the optimized binaries.
+run_release() {
+  local dir="build-release"
+  echo "=== [release] configure ==="
+  cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release
+  echo "=== [release] build ==="
+  cmake --build "$dir" -j "$jobs"
+  echo "=== [release] test ==="
+  ctest --test-dir "$dir" --output-on-failure -j "$jobs"
 }
 
 # TSan watches the threaded code paths; the single-threaded suites add
@@ -275,6 +290,7 @@ case "$mode" in
     run_dist_smoke build
     run_bench_compare build
     ;;
+  release) run_release ;;
   sanitize)
     run_config sanitize build-sanitize -DSPIRE_SANITIZE=ON
     run_archive_smoke build-sanitize
@@ -288,12 +304,13 @@ case "$mode" in
     run_queryserve_smoke build
     run_dist_smoke build
     run_bench_compare build
+    run_release
     run_config sanitize build-sanitize -DSPIRE_SANITIZE=ON
     run_archive_smoke build-sanitize
     run_tsan
     ;;
   *)
-    echo "usage: tools/ci.sh [plain|sanitize|tsan|all]" >&2
+    echo "usage: tools/ci.sh [plain|release|sanitize|tsan|all]" >&2
     exit 2
     ;;
 esac
