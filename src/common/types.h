@@ -1,6 +1,7 @@
 // Fundamental identifier and time types shared by every SPIRE module.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -13,6 +14,15 @@ using ObjectId = std::uint64_t;
 
 /// Sentinel meaning "no object" (e.g. an object without a container).
 inline constexpr ObjectId kNoObject = std::numeric_limits<ObjectId>::max();
+
+/// Hash of an object id for open-addressed tables. Fibonacci hashing: EPC
+/// serials differ in the low bits, which the multiply spreads into the high
+/// half. One id can key two kinds of entry (a pallet is both an object and
+/// a container); complementing the `second_kind` keys keeps them apart.
+inline std::size_t ObjectKeyHash(ObjectId id, bool second_kind) {
+  const std::uint64_t bits = second_kind ? ~id : id;
+  return static_cast<std::size_t>((bits * 0x9E3779B97F4A7C15ull) >> 32);
+}
 
 /// Identifier of a fixed, pre-defined location (aisle, belt, shelf, door...).
 /// Location ids are small dense integers assigned by the warehouse layout.

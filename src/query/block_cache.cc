@@ -35,14 +35,6 @@ std::uint64_t KeyOf(std::uint64_t segment_tag, std::uint32_t block_index) {
 
 constexpr std::uint32_t kEmptySlot = ~std::uint32_t{0};
 
-std::size_t SlotHash(ObjectId key, bool container) {
-  // Fibonacci hashing: EPC serials differ in the low bits, which the
-  // multiply spreads into the high half. A pallet is both an object and a
-  // container; complementing container keys keeps its two runs apart.
-  const std::uint64_t bits = container ? ~key : key;
-  return static_cast<std::size_t>((bits * 0x9E3779B97F4A7C15ull) >> 32);
-}
-
 std::uint64_t CostOf(const DecodedBlock& block) {
   return DecodedBlock::FootprintFor(block.events().size()) +
          BlockCache::kEntryOverheadBytes;
@@ -77,7 +69,7 @@ void DecodedBlock::BuildIndex() const {
   for (std::uint32_t run = 0; run < index_positions_.size(); ++run) {
     const ObjectId key = KeyAt(run);
     if (run != 0 && run != n && KeyAt(run - 1) == key) continue;
-    std::size_t slot = SlotHash(key, run >= n) & mask;
+    std::size_t slot = ObjectKeyHash(key, run >= n) & mask;
     while (index_slots_[slot] != kEmptySlot) slot = (slot + 1) & mask;
     index_slots_[slot] = run;
   }
@@ -93,7 +85,7 @@ std::span<const std::uint32_t> DecodedBlock::FindRun(ObjectId key,
                                                      bool container) const {
   const std::size_t n = events_.size();
   const std::size_t mask = index_slots_.size() - 1;
-  for (std::size_t slot = SlotHash(key, container) & mask;;
+  for (std::size_t slot = ObjectKeyHash(key, container) & mask;;
        slot = (slot + 1) & mask) {
     const std::uint32_t run = index_slots_[slot];
     if (run == kEmptySlot) return {};

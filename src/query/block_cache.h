@@ -28,7 +28,13 @@
 // across the shards. The index's size is bounded by the event count, so
 // Put charges that bound whether or not the index has been built yet. Each
 // shard orders its entries LRU under its own mutex, so threads hitting
-// different shards never contend. Concurrent misses on one key may both
+// different shards never contend. A shard never evicts the entry just
+// inserted, so a shard smaller than one entry keeps exactly one: the
+// budget is then not a bound, and Stats::bytes may reach num_shards times
+// the largest entry whatever the capacity. (perfbench `inventory` runs in
+// that regime: 621,324 B over 8 shards of 77,665 B, against 295,008 B
+// per 4,096-event block, so up to 8 of its 13 blocks stay resident, about
+// 2.36 MB or 3.8x the budget.) Concurrent misses on one key may both
 // decode (misses can exceed unique blocks; `decodes <= misses` is the
 // reconciliation invariant, with `hits + misses == lookups`) — the second
 // Put is a no-op, which keeps the bytes accounting exact.

@@ -1,6 +1,7 @@
 #include "store/block.h"
 
 #include <limits>
+#include <span>
 
 #include "store/bitpack.h"
 #include "store/varint.h"
@@ -96,119 +97,161 @@ Columns BuildColumns(const EventStream& events, std::size_t first,
   return columns;
 }
 
-void PutVarintColumn(const std::vector<std::uint64_t>& values,
-                     std::vector<std::uint8_t>* out) {
-  for (std::uint64_t value : values) PutVarint64(value, out);
-}
+/// Varint column reader. Next reads straight from the payload while a
+/// 10-byte encoding still fits before its end, and through GetVarint64
+/// near it; both accept exactly the canonical encodings. A failed Next
+/// leaves `offset` at the bad varint, where Error() re-runs GetVarint64.
+struct VarintColumns {
+  const std::uint8_t* in;
+  std::size_t size;
+  std::size_t offset;
 
-Status GetVarintColumn(const std::uint8_t* in, std::size_t size,
-                       std::size_t* offset, std::size_t count,
-                       std::vector<std::uint64_t>* out) {
-  out->resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto value = GetVarint64(in, size, offset);
-    if (!value.ok()) return value.status();
-    (*out)[i] = value.value();
+  Status Begin(std::size_t /*n*/) { return Status::OK(); }
+
+  bool Next(std::uint64_t* value) {
+    if (size - offset < kMaxVarintBytes) {
+      std::size_t end = offset;
+      auto decoded = GetVarint64(in, size, &end);
+      if (!decoded.ok()) return false;
+      *value = decoded.value();
+      offset = end;
+      return true;
+    }
+    std::uint64_t result = in[offset];
+    if (result < 0x80) {
+      *value = result;
+      offset += 1;
+      return true;
+    }
+    result &= 0x7f;
+    for (std::size_t i = 1; i < kMaxVarintBytes; ++i) {
+      const std::uint64_t byte = in[offset + i];
+      result |= (byte & 0x7f) << (7 * i);
+      if (byte >= 0x80) continue;
+      // GetVarint64's rules: no zero final byte; a 10th byte holds bit 63.
+      if (byte == 0 || (i == kMaxVarintBytes - 1 && byte > 1)) {
+        return false;
+      }
+      *value = result;
+      offset += i + 1;
+      return true;
+    }
+    return false;
   }
-  return Status::OK();
-}
 
-/// Undoes the zigzag-delta map in place: deltas -> absolute values.
-void PrefixDecode(std::vector<std::uint64_t>* values) {
-  std::uint64_t prev = 0;
-  for (std::uint64_t& value : *values) {
-    prev += static_cast<std::uint64_t>(ZigzagDecode(value));
-    value = prev;
+  Status Error() { return GetVarint64(in, size, &offset).status(); }
+
+  Status Finish() const {
+    if (offset != size) {
+      return Status::Corruption("trailing bytes after the block columns");
+    }
+    return Status::OK();
   }
-}
+};
 
-/// Targets interleave two independent delta chains (container ids for
-/// containment events, location ids otherwise), so decoding picks the
-/// chain per event by its type.
-void PrefixDecodeTargets(const std::vector<EventType>& types,
-                         std::vector<std::uint64_t>* values) {
+/// Bitpack column reader: Begin unpacks the next column, with every check
+/// UnpackColumn makes, into one scratch buffer the four columns share.
+struct BitpackColumns {
+  const std::uint8_t* in;
+  std::size_t size;
+  std::size_t offset;
+  std::vector<std::uint64_t> column = {};
+  std::size_t next = 0;
+
+  Status Begin(std::size_t n) {
+    column.resize(n);
+    next = 0;
+    return UnpackColumn(in, size, &offset, n, column.data());
+  }
+
+  bool Next(std::uint64_t* value) {
+    *value = column[next++];
+    return true;
+  }
+
+  // Unreachable: Begin has already checked the whole column.
+  Status Error() const { return Status::Corruption("bitpack column overrun"); }
+
+  Status Finish() const {
+    if (offset + kBitpackPadBytes != size) {
+      return Status::Corruption("trailing bytes after the block columns");
+    }
+    for (std::size_t i = offset; i < size; ++i) {
+      if (in[i] != 0) return Status::Corruption("nonzero bitpack payload pad");
+    }
+    return Status::OK();
+  }
+};
+
+/// Decodes the type bytes, then each numeric column in one pass, straight
+/// into `events`, checking every value as it lands. An End event holds its
+/// primary epoch in `end` until the duration column supplies `start`.
+template <typename Columns>
+Status DecodeColumns(const std::uint8_t* types, Columns& columns,
+                     std::span<Event> events) {
+  std::size_t num_ends = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (types[i] > static_cast<std::uint8_t>(EventType::kMissing)) {
+      return Status::Corruption("unknown event type byte in block");
+    }
+    events[i].type = static_cast<EventType>(types[i]);
+    if (IsEndType(events[i].type)) ++num_ends;
+  }
+
+  std::uint64_t delta = 0;
+  SPIRE_RETURN_NOT_OK(columns.Begin(events.size()));
+  std::uint64_t prev_object = 0;
+  for (Event& event : events) {
+    if (!columns.Next(&delta)) return columns.Error();
+    prev_object += static_cast<std::uint64_t>(ZigzagDecode(delta));
+    event.object = prev_object;
+  }
+
+  // Targets interleave two delta chains: container ids for containment
+  // events, location ids otherwise.
+  SPIRE_RETURN_NOT_OK(columns.Begin(events.size()));
   std::uint64_t prev_container = 0;
   std::uint64_t prev_location = 0;
-  for (std::size_t i = 0; i < values->size(); ++i) {
-    std::uint64_t& prev =
-        IsContainmentEvent(types[i]) ? prev_container : prev_location;
-    prev += static_cast<std::uint64_t>(ZigzagDecode((*values)[i]));
-    (*values)[i] = prev;
-  }
-}
-
-/// Materializes events from fully decoded columns, applying the value
-/// checks both codecs share. `objects`, `targets`, `epochs` hold absolute
-/// values; `durations` is consumed in End-event order.
-Status MaterializeEvents(const std::vector<EventType>& types,
-                         const std::vector<std::uint64_t>& objects,
-                         const std::vector<std::uint64_t>& targets,
-                         const std::vector<std::uint64_t>& epochs,
-                         const std::vector<std::uint64_t>& durations,
-                         EventStream* out) {
-  const std::size_t count = types.size();
-  std::size_t next_duration = 0;
-  const std::size_t base = out->size();
-  out->resize(base + count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Event& event = (*out)[base + i];
-    event.type = types[i];
-    event.object = objects[i];
-    if (IsContainmentEvent(types[i])) {
-      event.container = targets[i];
+  for (Event& event : events) {
+    if (!columns.Next(&delta)) return columns.Error();
+    if (IsContainmentEvent(event.type)) {
+      prev_container += static_cast<std::uint64_t>(ZigzagDecode(delta));
+      event.container = prev_container;
     } else {
-      if (targets[i] > std::numeric_limits<LocationId>::max()) {
+      prev_location += static_cast<std::uint64_t>(ZigzagDecode(delta));
+      if (prev_location > std::numeric_limits<LocationId>::max()) {
         return Status::Corruption("location id out of range in block");
       }
-      event.location = static_cast<LocationId>(targets[i]);
+      event.location = static_cast<LocationId>(prev_location);
     }
-    const Epoch primary = static_cast<Epoch>(epochs[i]);
+  }
+
+  SPIRE_RETURN_NOT_OK(columns.Begin(events.size()));
+  std::uint64_t prev_epoch = 0;
+  for (Event& event : events) {
+    if (!columns.Next(&delta)) return columns.Error();
+    prev_epoch += static_cast<std::uint64_t>(ZigzagDecode(delta));
+    const Epoch primary = static_cast<Epoch>(prev_epoch);
     if (primary < 0) {
       return Status::Corruption("negative event timestamp in block");
     }
-    switch (types[i]) {
-      case EventType::kStartLocation:
-      case EventType::kStartContainment:
-        event.start = primary;
-        event.end = kInfiniteEpoch;
-        break;
-      case EventType::kEndLocation:
-      case EventType::kEndContainment: {
-        const std::uint64_t start = static_cast<std::uint64_t>(primary) -
-                                    durations[next_duration++];
-        event.end = primary;
-        event.start = static_cast<Epoch>(start);
-        if (event.start < 0 || event.start > event.end) {
-          return Status::Corruption("End event duration out of range in block");
-        }
-        break;
-      }
-      case EventType::kMissing:
-        event.start = primary;
-        event.end = primary;
-        break;
-    }
+    const bool open = event.type == EventType::kStartLocation ||
+                      event.type == EventType::kStartContainment;
+    event.start = primary;
+    event.end = open ? kInfiniteEpoch : primary;
   }
-  return Status::OK();
-}
 
-Status DecodeTypes(const std::uint8_t* payload, std::size_t payload_size,
-                   std::uint32_t count, std::vector<EventType>* types,
-                   std::size_t* num_ends) {
-  if (payload_size < count) {
-    return Status::Corruption("block payload shorter than its type column");
-  }
-  types->resize(count);
-  *num_ends = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint8_t byte = payload[i];
-    if (byte > static_cast<std::uint8_t>(EventType::kMissing)) {
-      return Status::Corruption("unknown event type byte in block");
+  SPIRE_RETURN_NOT_OK(columns.Begin(num_ends));
+  for (Event& event : events) {
+    if (!IsEndType(event.type)) continue;
+    if (!columns.Next(&delta)) return columns.Error();
+    event.start =
+        static_cast<Epoch>(static_cast<std::uint64_t>(event.end) - delta);
+    if (event.start < 0 || event.start > event.end) {
+      return Status::Corruption("End event duration out of range in block");
     }
-    (*types)[i] = static_cast<EventType>(byte);
-    if (IsEndType((*types)[i])) ++*num_ends;
   }
-  return Status::OK();
+  return columns.Finish();
 }
 
 }  // namespace
@@ -241,82 +284,38 @@ Result<EncodedBlock> EncodeBlock(const EventStream& events, std::size_t first,
   }
 
   const Columns columns = BuildColumns(events, first, count);
-  switch (codec) {
-    case BlockCodec::kVarint:
-      PutVarintColumn(columns.objects, &block.payload);
-      PutVarintColumn(columns.targets, &block.payload);
-      PutVarintColumn(columns.epochs, &block.payload);
-      PutVarintColumn(columns.durations, &block.payload);
-      break;
-    case BlockCodec::kBitpack:
-      PackColumn(columns.objects.data(), columns.objects.size(),
-                 &block.payload);
-      PackColumn(columns.targets.data(), columns.targets.size(),
-                 &block.payload);
-      PackColumn(columns.epochs.data(), columns.epochs.size(),
-                 &block.payload);
-      PackColumn(columns.durations.data(), columns.durations.size(),
-                 &block.payload);
-      block.payload.insert(block.payload.end(), kBitpackPadBytes, 0);
-      break;
+  for (const auto* column : {&columns.objects, &columns.targets,
+                             &columns.epochs, &columns.durations}) {
+    if (codec == BlockCodec::kVarint) {
+      for (std::uint64_t value : *column) PutVarint64(value, &block.payload);
+    } else if (codec == BlockCodec::kBitpack) {
+      PackColumn(column->data(), column->size(), &block.payload);
+    }
+  }
+  if (codec == BlockCodec::kBitpack) {
+    block.payload.insert(block.payload.end(), kBitpackPadBytes, 0);
   }
   return block;
 }
 
 Status DecodeBlock(const std::uint8_t* payload, std::size_t payload_size,
                    std::uint32_t count, BlockCodec codec, EventStream* out) {
-  std::vector<EventType> types;
-  std::size_t num_ends = 0;
-  SPIRE_RETURN_NOT_OK(DecodeTypes(payload, payload_size, count, &types,
-                                  &num_ends));
-  std::size_t offset = count;
-
-  Columns columns;
-  switch (codec) {
-    case BlockCodec::kVarint:
-      SPIRE_RETURN_NOT_OK(GetVarintColumn(payload, payload_size, &offset,
-                                          count, &columns.objects));
-      SPIRE_RETURN_NOT_OK(GetVarintColumn(payload, payload_size, &offset,
-                                          count, &columns.targets));
-      SPIRE_RETURN_NOT_OK(GetVarintColumn(payload, payload_size, &offset,
-                                          count, &columns.epochs));
-      SPIRE_RETURN_NOT_OK(GetVarintColumn(payload, payload_size, &offset,
-                                          num_ends, &columns.durations));
-      if (offset != payload_size) {
-        return Status::Corruption("trailing bytes after the block columns");
-      }
-      break;
-    case BlockCodec::kBitpack: {
-      columns.objects.resize(count);
-      columns.targets.resize(count);
-      columns.epochs.resize(count);
-      columns.durations.resize(num_ends);
-      SPIRE_RETURN_NOT_OK(UnpackColumn(payload, payload_size, &offset, count,
-                                       columns.objects.data()));
-      SPIRE_RETURN_NOT_OK(UnpackColumn(payload, payload_size, &offset, count,
-                                       columns.targets.data()));
-      SPIRE_RETURN_NOT_OK(UnpackColumn(payload, payload_size, &offset, count,
-                                       columns.epochs.data()));
-      SPIRE_RETURN_NOT_OK(UnpackColumn(payload, payload_size, &offset,
-                                       num_ends, columns.durations.data()));
-      if (offset + kBitpackPadBytes != payload_size) {
-        return Status::Corruption("trailing bytes after the block columns");
-      }
-      for (std::size_t i = offset; i < payload_size; ++i) {
-        if (payload[i] != 0) {
-          return Status::Corruption("nonzero bitpack payload pad");
-        }
-      }
-      break;
-    }
-    default:
-      return Status::Corruption("unknown block codec");
+  if (payload_size < count) {
+    return Status::Corruption("block payload shorter than its type column");
   }
-  PrefixDecode(&columns.objects);
-  PrefixDecodeTargets(types, &columns.targets);
-  PrefixDecode(&columns.epochs);
-  return MaterializeEvents(types, columns.objects, columns.targets,
-                           columns.epochs, columns.durations, out);
+  const std::size_t base = out->size();
+  out->resize(base + count);
+  const std::span<Event> events(out->data() + base, count);
+  Status status = Status::Corruption("unknown block codec");
+  if (codec == BlockCodec::kVarint) {
+    VarintColumns columns{payload, payload_size, count};
+    status = DecodeColumns(payload, columns, events);
+  } else if (codec == BlockCodec::kBitpack) {
+    BitpackColumns columns{payload, payload_size, count};
+    status = DecodeColumns(payload, columns, events);
+  }
+  if (!status.ok()) out->resize(base);
+  return status;
 }
 
 Status DecodeBlockEpochs(const std::uint8_t* payload,

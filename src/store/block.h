@@ -24,6 +24,15 @@
 // decoded without touching the object/target columns at all
 // (DecodeBlockEpochs).
 //
+// DecodeBlock makes one pass per column straight into the output events,
+// with no intermediate column vectors: the type bytes land first, then each
+// numeric column is prefix-summed into its Event field and checked as it
+// lands. An End event keeps its primary epoch in `end` until the duration
+// column supplies its start. Varints are read without per-byte bounds
+// checks while a whole 10-byte encoding still fits before the payload end,
+// and through GetVarint64 near it; bitpack columns unpack into one reused
+// scratch buffer and then take the same per-event pass.
+//
 // Decoders take (pointer, size) rather than a vector so they can run
 // zero-copy over an mmapped segment. Every malformed byte sequence —
 // including non-canonical varints, non-minimal bit widths, and nonzero pad
@@ -61,7 +70,8 @@ Result<EncodedBlock> EncodeBlock(const EventStream& events, std::size_t first,
                                  BlockCodec codec = BlockCodec::kVarint);
 
 /// Decodes a payload produced by EncodeBlock back into exactly `count`
-/// events appended to `out`.
+/// events appended to `out`. On failure `out` keeps its size before the
+/// call.
 Status DecodeBlock(const std::uint8_t* payload, std::size_t payload_size,
                    std::uint32_t count, BlockCodec codec, EventStream* out);
 

@@ -1,8 +1,10 @@
 #include "store/segment.h"
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <type_traits>
 
 #include "store/block.h"
@@ -16,7 +18,7 @@ namespace {
 /// Bounds-checked cursor over the index sidecar's body.
 class Cursor {
  public:
-  explicit Cursor(const std::vector<std::uint8_t>& bytes) : bytes_(bytes) {}
+  explicit Cursor(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
   bool Take(std::size_t size, const std::uint8_t** out) {
     if (offset_ + size > bytes_.size()) return false;
@@ -39,7 +41,7 @@ class Cursor {
   bool AtEnd() const { return offset_ == bytes_.size(); }
 
  private:
-  const std::vector<std::uint8_t>& bytes_;
+  std::span<const std::uint8_t> bytes_;
   std::size_t offset_ = 0;
 };
 
@@ -256,10 +258,16 @@ Status WriteIndexFile(const std::string& segment_path,
 Result<SegmentInfo> ReadIndexFile(const std::string& segment_path,
                                   std::uint64_t segment_bytes) {
   const std::string path = IndexPathFor(segment_path);
+  // One sized read: the sidecar is read on every open.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
   std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("no archive index sidecar: " + path);
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  if (ec || !in) return Status::NotFound("no archive index sidecar: " + path);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  if (!in.read(reinterpret_cast<char*>(bytes.data()),
+               static_cast<std::streamsize>(size))) {
+    return Status::Corruption("cannot read archive index: " + path);
+  }
   if (bytes.size() < kArchiveHeaderBytes + 4) {
     return Status::Corruption("archive index too short: " + path);
   }
@@ -272,8 +280,9 @@ Result<SegmentInfo> ReadIndexFile(const std::string& segment_path,
     // rebuild by scanning and Close() rewrites the current version.
     return Status::NotSupported("unsupported archive index version: " + path);
   }
-  const std::vector<std::uint8_t> body(bytes.begin() + kArchiveHeaderBytes,
-                                       bytes.end() - 4);
+  const std::span<const std::uint8_t> body(
+      bytes.data() + kArchiveHeaderBytes,
+      bytes.size() - kArchiveHeaderBytes - 4);
   if (Crc32(body.data(), body.size()) != GetLE32(&bytes[bytes.size() - 4])) {
     return Status::Corruption("archive index checksum mismatch: " + path);
   }

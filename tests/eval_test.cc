@@ -2,7 +2,13 @@
 // compression accounting, detection delay, and the table printer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <utility>
+
 #include "common/epc.h"
+#include "compress/fold.h"
 #include "eval/accuracy.h"
 #include "eval/delay.h"
 #include "eval/event_accuracy.h"
@@ -152,6 +158,101 @@ TEST(FoldEventsTest, MissingStaysPointEvent) {
   EXPECT_EQ(folded[0].type, EventType::kMissing);
   EXPECT_EQ(folded[0].start, 9);
   EXPECT_EQ(folded[0].end, 9);
+}
+
+/// The ordered-map fold FoldEvents must equal element for element: a Start
+/// (re)opens its (object, kind) key, an End closes the key's open interval
+/// if there is one, and the result is sorted by (object, start, type).
+std::vector<RangedEvent> MapFold(const EventStream& stream) {
+  std::map<std::pair<ObjectId, bool>, std::size_t> open;
+  std::vector<RangedEvent> folded;
+  for (const Event& event : stream) {
+    const std::pair<ObjectId, bool> key{event.object,
+                                        IsContainmentEvent(event.type)};
+    RangedEvent ranged;
+    ranged.type = event.type;
+    ranged.object = event.object;
+    ranged.location = event.location;
+    ranged.start = event.start;
+    switch (event.type) {
+      case EventType::kStartLocation:
+      case EventType::kStartContainment:
+        ranged.container = event.container;
+        ranged.end = kInfiniteEpoch;
+        open[key] = folded.size();
+        folded.push_back(ranged);
+        break;
+      case EventType::kEndLocation:
+      case EventType::kEndContainment:
+        if (auto it = open.find(key); it != open.end()) {
+          folded[it->second].end = event.end;
+          open.erase(it);
+        }
+        break;
+      case EventType::kMissing:
+        ranged.end = event.end;
+        folded.push_back(ranged);
+        break;
+    }
+  }
+  std::sort(folded.begin(), folded.end(),
+            [](const RangedEvent& a, const RangedEvent& b) {
+              if (a.object != b.object) return a.object < b.object;
+              if (a.start != b.start) return a.start < b.start;
+              return a.type < b.type;
+            });
+  return folded;
+}
+
+TEST(FoldEventsTest, EqualsOrderedMapFoldOnRandomStreams) {
+  EXPECT_TRUE(FoldEvents({}).empty());
+  // Equal (object, start, type) keys that differ elsewhere: the sort may
+  // order such ties either way, but must order them as the map fold does.
+  EventStream ties;
+  for (LocationId location = 1; location <= 40; ++location) {
+    ties.push_back(Event::StartLocation(kItem, location, 10));
+    ties.push_back(Event::Missing(kItem, location, 10));
+    if (location % 3 == 0) {
+      ties.push_back(Event::EndLocation(kItem, location, 10, 10 + location));
+    }
+  }
+  EXPECT_EQ(FoldEvents(ties), MapFold(ties));
+  // kCase is both an object and a container; 0 and kNoObject are the ends
+  // of the id range. A small pool and epoch range make duplicate Starts,
+  // orphan Ends and equal (object, start, type) ties common.
+  const std::vector<ObjectId> pool{kItem, kCase, Obj(PackagingLevel::kItem, 3),
+                                   0, kNoObject};
+  std::mt19937_64 rng(20080407);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t size = trial < 300 ? rng() % 64 : rng() % 6000;
+    const std::uint64_t epochs = 1 + rng() % 40;
+    EventStream stream;
+    for (std::size_t i = 0; i < size; ++i) {
+      const ObjectId object = pool[rng() % pool.size()];
+      const auto location = static_cast<LocationId>(1 + rng() % 4);
+      const ObjectId container = rng() % 2 ? kCase : pool[rng() % pool.size()];
+      const Epoch a = static_cast<Epoch>(rng() % epochs);
+      const Epoch b = a + static_cast<Epoch>(rng() % epochs);
+      switch (rng() % 5) {
+        case 0:
+          stream.push_back(Event::StartLocation(object, location, a));
+          break;
+        case 1:
+          stream.push_back(Event::EndLocation(object, location, a, b));
+          break;
+        case 2:
+          stream.push_back(Event::StartContainment(object, container, a));
+          break;
+        case 3:
+          stream.push_back(Event::EndContainment(object, container, a, b));
+          break;
+        default:
+          stream.push_back(Event::Missing(object, location, a));
+          break;
+      }
+    }
+    ASSERT_EQ(FoldEvents(stream), MapFold(stream)) << "trial " << trial;
+  }
 }
 
 // --------------------------------------------------- CompareEventStreams --

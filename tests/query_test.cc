@@ -4,6 +4,7 @@
 // end-to-end check against the simulator's ground truth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <filesystem>
@@ -492,6 +493,29 @@ TEST(BlockCacheTest, NeverEvictsTheEntryJustInserted) {
   cache.Put(tag, 0, huge);
   // Over capacity, but the sole entry survives to serve its next lookup.
   EXPECT_EQ(cache.Get(tag, 0), huge);
+}
+
+TEST(BlockCacheTest, ShardsSmallerThanAnEntryHoldOneEntryEach) {
+  // Each of 8 shards has room for half of the largest entry. Keeping the
+  // entry just inserted means every shard holds exactly one entry, so the
+  // cache may exceed its capacity, but never by more than one entry per
+  // shard.
+  constexpr std::size_t kShards = 8;
+  constexpr std::size_t kLargest = 100;
+  BlockCache cache(kShards * CostOf(kLargest) / 2, kShards);
+  const std::uint64_t tag = BlockCache::NextSegmentTag();
+  std::uint64_t peak = 0;
+  for (std::uint32_t index = 0; index < 64; ++index) {
+    cache.Put(tag, index, BlockOf(kLargest - index % 3));
+    const BlockCache::Stats stats = cache.GetStats();
+    EXPECT_LE(stats.bytes, kShards * CostOf(kLargest)) << "put " << index;
+    peak = std::max(peak, stats.bytes);
+  }
+  const BlockCache::Stats stats = cache.GetStats();
+  EXPECT_GT(peak, stats.capacity_bytes);  // The overshoot the rule allows.
+  const std::uint64_t resident = 64 - stats.evictions;
+  EXPECT_LE(resident, kShards);
+  EXPECT_GE(stats.bytes, resident * CostOf(kLargest - 2));
 }
 
 TEST(BlockCacheTest, EvictedBlockOutlivesEvictionWhileHeld) {

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 
 #include "common/epc.h"
 #include "compress/well_formed.h"
@@ -536,6 +537,126 @@ TEST(BlockCodecTest, EpochColumnMatchesFullDecode) {
   }
 }
 
+/// A stream whose kVarint block holds varints of every length 1-10: object
+/// and container ids climb in steps whose zigzag deltas take 1, 2, ..., 10
+/// bytes, then jump to the top of the id range (kNoObject - 1, kNoObject).
+/// Its last event moves the epoch by 2^62, a 10-byte delta; without End
+/// events that delta is the payload's last varint.
+EventStream WideVarintStream(bool with_ends) {
+  EventStream stream;
+  ObjectId object = 0;
+  ObjectId container = 0;
+  Epoch epoch = 0;
+  for (int length = 1; length <= 10; ++length) {
+    // A delta d > 0 zigzags to 2d, and 2^(7(length-1)) takes `length` bytes.
+    const std::uint64_t step =
+        length == 1 ? 1 : std::uint64_t{1} << (7 * (length - 1) - 1);
+    object += step;
+    container += step;
+    if (length < 10) epoch += static_cast<Epoch>(step);
+    const auto location = static_cast<LocationId>(length);
+    stream.push_back(Event::StartLocation(object, location, epoch));
+    stream.push_back(Event::StartContainment(object, container, epoch));
+    if (with_ends) {
+      stream.push_back(Event::EndLocation(object, location, 0, epoch));
+      stream.push_back(
+          Event::EndContainment(object, container, epoch / 2, epoch));
+    }
+  }
+  stream.push_back(Event::StartLocation(kNoObject - 1, 65535, epoch));
+  stream.push_back(Event::StartContainment(kNoObject - 1, kNoObject, epoch));
+  stream.push_back(
+      Event::Missing(kNoObject - 1, 65535, epoch + (Epoch{1} << 62)));
+  return stream;
+}
+
+/// Byte lengths of the varints after the type column of a kVarint payload.
+std::vector<std::size_t> VarintLengths(const EncodedBlock& block) {
+  std::vector<std::size_t> lengths;
+  std::size_t offset = block.count;
+  while (offset < block.payload.size()) {
+    const std::size_t start = offset;
+    if (!GetVarint64(block.payload, &offset).ok()) break;
+    lengths.push_back(offset - start);
+  }
+  return lengths;
+}
+
+TEST(BlockCodecTest, MutatedPayloadsDecodeCanonicallyOrFailCleanly) {
+  // Any payload DecodeBlock accepts must be the canonical encoding of what
+  // it decoded (block.h): exactly `count` events that re-encode to the
+  // same bytes. Any payload it rejects must fail with a described
+  // Corruption and leave `out` as it was.
+  constexpr std::uint8_t kEdgeBytes[] = {0x00, 0x01, 0x7f, 0x80, 0xff};
+  std::mt19937_64 rng(20080407);
+  for (bool with_ends : {false, true}) {
+    const EventStream stream = WideVarintStream(with_ends);
+    auto varint = EncodeBlock(stream, 0, stream.size(), BlockCodec::kVarint);
+    ASSERT_TRUE(varint.ok());
+    const std::vector<std::size_t> lengths = VarintLengths(varint.value());
+    for (std::size_t length = 1; length <= kMaxVarintBytes; ++length) {
+      EXPECT_NE(std::find(lengths.begin(), lengths.end(), length),
+                lengths.end())
+          << "no " << length << "-byte varint";
+    }
+    if (!with_ends) {
+      // The last varint ends at the payload end: its decode reads the
+      // final 10 bytes, where the unchecked read path meets the bounded.
+      ASSERT_FALSE(lengths.empty());
+      EXPECT_EQ(lengths.back(), kMaxVarintBytes);
+    }
+
+    for (BlockCodec codec : {BlockCodec::kVarint, BlockCodec::kBitpack}) {
+      auto encoded = EncodeBlock(stream, 0, stream.size(), codec);
+      ASSERT_TRUE(encoded.ok());
+      const EncodedBlock& block = encoded.value();
+      std::size_t accepted = 0;
+      std::size_t rejected = 0;
+      auto check = [&](const std::vector<std::uint8_t>& payload,
+                       const std::string& what) {
+        const EventStream before(2, Event::Missing(kItem, 4, 9));
+        EventStream out = before;
+        const Status status = DecodeBlock(payload.data(), payload.size(),
+                                          block.count, codec, &out);
+        if (!status.ok()) {
+          ++rejected;
+          EXPECT_EQ(status.code(), StatusCode::kCorruption) << what;
+          EXPECT_FALSE(status.message().empty()) << what;
+          EXPECT_EQ(out, before) << what;
+          return;
+        }
+        ++accepted;
+        ASSERT_EQ(out.size(), before.size() + block.count) << what;
+        EXPECT_TRUE(std::equal(before.begin(), before.end(), out.begin()))
+            << what;
+        auto reencoded = EncodeBlock(out, before.size(), block.count, codec);
+        ASSERT_TRUE(reencoded.ok()) << what;
+        EXPECT_EQ(reencoded.value().payload, payload) << what;
+      };
+      check(block.payload, "unmutated");
+      for (int trial = 0; trial < 4000; ++trial) {
+        std::vector<std::uint8_t> mutated = block.payload;
+        const int bytes = 1 + static_cast<int>(rng() % 4);
+        for (int k = 0; k < bytes; ++k) {
+          const std::size_t at = rng() % mutated.size();
+          mutated[at] = rng() % 2 == 0 ? kEdgeBytes[rng() % 5]
+                                       : static_cast<std::uint8_t>(rng());
+        }
+        check(mutated, "trial " + std::to_string(trial));
+      }
+      for (std::size_t cut = 0; cut < block.payload.size(); ++cut) {
+        const std::size_t before = rejected;
+        check({block.payload.begin(), block.payload.begin() + cut},
+              "cut " + std::to_string(cut));
+        EXPECT_EQ(rejected, before + 1) << "cut " << cut << " decoded";
+      }
+      // Both outcomes occur, so both halves of the property were tested.
+      EXPECT_GT(accepted, 1u) << ToString(codec);
+      EXPECT_GT(rejected, block.payload.size()) << ToString(codec);
+    }
+  }
+}
+
 // --------------------------------------------------------- writer/reader --
 
 TEST(ArchiveTest, RoundTripsAcrossManyBlocks) {
@@ -723,6 +844,14 @@ TEST(ArchiveTest, ReaderRebuildsWhenIndexStaleOrMissing) {
   EventStream expected = stream;
   expected.insert(expected.end(), stream.begin(), stream.end());
   EXPECT_EQ(missing.value().ScanAll().value(), expected);
+
+  // A sidecar path that is not a readable file is as good as missing.
+  std::filesystem::create_directory(IndexPathFor(path));
+  auto unreadable = ArchiveReader::Open(path);
+  std::filesystem::remove(IndexPathFor(path));
+  ASSERT_TRUE(unreadable.ok());
+  EXPECT_TRUE(unreadable.value().index_rebuilt());
+  EXPECT_EQ(unreadable.value().ScanAll().value(), expected);
 }
 
 TEST(ArchiveTest, CorruptBlockPayloadIsDetected) {

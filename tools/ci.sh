@@ -268,6 +268,20 @@ run_bench_compare() {
   if [ -f BENCH_query.json ]; then
     tools/bench_compare.py BENCH_query.json "$tmp/BENCH_query.json" || true
   fi
+  echo "=== [bench] expt5 throughput (soft compare) ==="
+  # Default scale (5k-40k objects), the scale of the committed baseline.
+  SPIRE_BENCH_DIR="$tmp" "$dir/bench/expt5_throughput" | tail -n +4
+  if [ -f BENCH_throughput.json ]; then
+    tools/bench_compare.py BENCH_throughput.json \
+      "$tmp/BENCH_throughput.json" || true
+  fi
+  echo "=== [bench] expt10 serve (byte-identity + soft compare) ==="
+  # Every shard count's merged output is checked against the serial
+  # reference inside the binary; the scaling columns stay soft.
+  SPIRE_BENCH_DIR="$tmp" "$dir/bench/expt10_serve" | tail -n +4
+  if [ -f BENCH_serve.json ]; then
+    tools/bench_compare.py BENCH_serve.json "$tmp/BENCH_serve.json" || true
+  fi
   echo "=== [bench] expt14 dist (byte-identity + soft compare) ==="
   # Byte-identity of every node count (loopback and forked processes)
   # against the serial reference is asserted inside the binary; the
