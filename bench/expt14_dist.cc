@@ -10,9 +10,17 @@
 // scaling is min(nodes, sites, hardware threads); on a 1-thread machine
 // expect ~1.0x, the byte-identity columns are the point.
 //
+// A second section measures in-process serving (`spire_cli serve`):
+// loopback with no hops over 4 independent warehouse sites of 1,200
+// epochs each (5,400 with full=true), at 1, 2 and 4 nodes. Each node count
+// gets one warm-up run and then kServeReps timed runs, reported as median,
+// min and max; every run must match the serial reference byte for byte.
+//
 //   ./expt14_dist [sites=3] [duration=600] [full=true] [key=value ...]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +30,8 @@
 #include "dist/runner.h"
 #include "eval/table.h"
 #include "obs/registry.h"
+#include "serve/workload.h"
+#include "sim/simulator.h"
 #include "sim/transfer.h"
 
 using namespace spire;
@@ -33,6 +43,107 @@ double Seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// Timed runs per node count in the no-hop section, after one warm-up.
+constexpr int kServeReps = 5;
+constexpr int kServeSites = 4;
+
+/// Simulates one independent warehouse site.
+serve::SiteWorkload SimulateSite(SimConfig config, int site) {
+  config.seed = config.seed + static_cast<std::uint64_t>(site);
+  auto sim = WarehouseSimulator::Create(config);
+  if (!sim.ok()) {
+    std::fprintf(stderr, "simulator: %s\n", sim.status().ToString().c_str());
+    std::exit(1);
+  }
+  WarehouseSimulator& s = *sim.value();
+  serve::SiteWorkload workload;
+  workload.name = "site-" + std::to_string(site);
+  while (!s.Done()) {
+    EpochReadings readings = s.Step();
+    const auto epoch = static_cast<std::size_t>(s.current_epoch());
+    if (epoch >= workload.epochs.size()) workload.epochs.resize(epoch + 1);
+    workload.epochs[epoch] = std::move(readings);
+  }
+  workload.registry = s.registry();
+  return workload;
+}
+
+/// The in-process serving section: no hops, independent sites. Returns
+/// false (after printing why) when a run fails or diverges.
+bool MeasureServing(bool full, BenchReport* report) {
+  SimConfig sim_config = SweepConfig(full);
+  sim_config.duration_epochs = full ? 5400 : 1200;
+  serve::Workload workload;
+  for (int site = 0; site < kServeSites; ++site) {
+    workload.sites.push_back(SimulateSite(sim_config, site));
+  }
+  Status status = serve::NormalizeWorkload(&workload);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return false;
+  }
+  const double epochs = static_cast<double>(workload.num_epochs);
+  std::printf("\nin-process serving (no hops): %d site(s), %lld epochs, "
+              "median of %d runs after one warm-up\n\n",
+              kServeSites, static_cast<long long>(workload.num_epochs),
+              kServeReps);
+
+  const auto ref_start = std::chrono::steady_clock::now();
+  const EventStream reference =
+      dist::RunDistReference(workload, {}, PipelineOptions{});
+  const double ref_seconds = Seconds(ref_start);
+  const double ref_eps = ref_seconds > 0.0 ? epochs / ref_seconds : 0.0;
+  report->Add("serve.sites", kServeSites);
+  report->Add("serve.epochs", epochs);
+  report->Add("serve.reference_epochs_per_sec", ref_eps);
+
+  TextTable table({"config", "epochs/s (median)", "min", "max",
+                   "speedup vs 1 node", "vs reference", "events",
+                   "identical"});
+  table.AddRow({"serial reference", TextTable::Num(ref_eps, 1), "-", "-", "-",
+                "-", std::to_string(reference.size()), "-"});
+  double one_node_eps = 0.0;
+  for (int nodes : {1, 2, 4}) {
+    dist::DistOptions options;
+    options.num_nodes = nodes;
+    std::vector<double> rates;
+    for (int rep = 0; rep <= kServeReps; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      dist::DistResult result = dist::RunDistLoopback(workload, {}, options);
+      const double wall = Seconds(start);
+      if (!result.status.ok()) {
+        std::fprintf(stderr, "serve(%d nodes): %s\n", nodes,
+                     result.status.ToString().c_str());
+        return false;
+      }
+      if (result.events != reference) {
+        std::fprintf(stderr,
+                     "serve(%d nodes) diverged from the serial reference\n",
+                     nodes);
+        return false;
+      }
+      if (rep > 0) rates.push_back(wall > 0.0 ? epochs / wall : 0.0);
+    }
+    std::sort(rates.begin(), rates.end());
+    const double eps = rates[rates.size() / 2];
+    if (nodes == 1) one_node_eps = eps;
+    const double speedup = one_node_eps > 0.0 ? eps / one_node_eps : 0.0;
+    table.AddRow({std::to_string(nodes) + " node(s) no hops",
+                  TextTable::Num(eps, 1), TextTable::Num(rates.front(), 1),
+                  TextTable::Num(rates.back(), 1), TextTable::Num(speedup, 2),
+                  TextTable::Num(ref_eps > 0.0 ? eps / ref_eps : 0.0, 2),
+                  std::to_string(reference.size()), "yes"});
+    const std::string prefix = "serve.nodes_" + std::to_string(nodes) + ".";
+    report->Add(prefix + "epochs_per_sec", eps);
+    report->Add(prefix + "min_epochs_per_sec", rates.front());
+    report->Add(prefix + "max_epochs_per_sec", rates.back());
+    report->Add(prefix + "speedup_vs_1_node", speedup);
+    report->Add(prefix + "identical_to_reference", 1.0);
+  }
+  table.Print();
+  return true;
 }
 
 }  // namespace
@@ -197,6 +308,8 @@ int main(int argc, char** argv) {
     }
   }
   table.Print();
+
+  if (!MeasureServing(full, &report)) return 1;
 
   Status status = report.Write();
   if (!status.ok()) {

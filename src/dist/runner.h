@@ -33,7 +33,8 @@ EventStream RunDistReference(const serve::Workload& workload,
 
 /// Runs coordinator plus `options.num_nodes` node threads over loopback
 /// connections in this process (deterministic, TSan-clean). The node
-/// count is clamped to [1, site count].
+/// count is clamped to [1, site count]. With no hops this is the
+/// in-process multi-site server (`spire_cli serve`).
 DistResult RunDistLoopback(const serve::Workload& workload,
                            const std::vector<TransferHop>& hops,
                            DistOptions options);

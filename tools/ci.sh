@@ -2,8 +2,9 @@
 # Local CI: configure, build, and run the test suite in four
 # configurations — plain, Release (every target at -O3, whose extra
 # warnings -Werror also turns into errors), ASan+UBSan (SPIRE_SANITIZE=ON),
-# and TSan (SPIRE_SANITIZE=thread, concurrency tests only: the serving
-# layer's queue/merger/serve suites). Any warning is an error in every
+# and TSan (SPIRE_SANITIZE=thread, concurrency tests only: the queue,
+# merger and dist suites plus the concurrent query and obs paths). Any
+# warning is an error in every
 # configuration (-Werror is always on). After ctest, the plain and
 # sanitized configurations replay the spire_fuzz seed corpus
 # (tools/fuzz_seeds.txt) through the differential oracle battery
@@ -12,7 +13,9 @@
 # stdout). The plain configuration then runs the observability smoke step
 # (DESIGN.md §9): a fuzz-seed `spire_cli run` with tracing + explain on,
 # artifact validation via `spire_cli obscheck`, byte-identity of
-# instrumented vs uninstrumented output, and the expt11_obs overhead
+# instrumented vs uninstrumented output (the uninstrumented side is a
+# one-site `spire_cli serve`, i.e. dist loopback with no hops), byte-identity
+# of a 3-site `serve` on 3 nodes vs 1 node, and the expt11_obs overhead
 # bench (single-process arms reported; the dist leg's traced-overhead
 # ratio gated at 1.15x against BENCH_obs.json). A CEP smoke step
 # (DESIGN.md §11) then cross-checks the pattern library's two evaluators
@@ -40,7 +43,7 @@
 #   tools/ci.sh plain      # plain only
 #   tools/ci.sh release    # Release build + ctest only
 #   tools/ci.sh sanitize   # ASan+UBSan only
-#   tools/ci.sh tsan       # ThreadSanitizer only (serve/queue/merger tests)
+#   tools/ci.sh tsan       # ThreadSanitizer only (concurrency suites)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -75,8 +78,10 @@ run_release() {
 }
 
 # TSan watches the threaded code paths; the single-threaded suites add
-# nothing but runtime, so only the serving-layer and obs-instrument tests
-# run here.
+# nothing but runtime, so only the concurrency suites run here: the queue
+# and merger (serve_test), the dist runtime with and without hops
+# (dist_test's Dist* and Serve* cases), the query cache and logs, and the
+# obs instruments.
 run_tsan() {
   local dir="build-tsan"
   echo "=== [tsan] configure ==="
@@ -109,6 +114,15 @@ run_obs_smoke() {
     out="$tmp/off.spev" > /dev/null
   if ! cmp -s "$tmp/on.spev" "$tmp/off.spev"; then
     echo "obs smoke: instrumented run diverged from uninstrumented run" >&2
+    rm -rf "$tmp"
+    exit 1
+  fi
+  "$dir/tools/spire_cli" serve sites=3 seed=1 shards=3 \
+    out="$tmp/serve3.spev" > /dev/null
+  "$dir/tools/spire_cli" serve sites=3 seed=1 shards=1 \
+    out="$tmp/serve1.spev" > /dev/null
+  if ! cmp -s "$tmp/serve3.spev" "$tmp/serve1.spev"; then
+    echo "obs smoke: serve on 3 nodes diverged from serve on 1 node" >&2
     rm -rf "$tmp"
     exit 1
   fi
@@ -275,18 +289,11 @@ run_bench_compare() {
     tools/bench_compare.py BENCH_throughput.json \
       "$tmp/BENCH_throughput.json" || true
   fi
-  echo "=== [bench] expt10 serve (byte-identity + soft compare) ==="
-  # Every shard count's merged output is checked against the serial
-  # reference inside the binary; the scaling columns stay soft.
-  SPIRE_BENCH_DIR="$tmp" "$dir/bench/expt10_serve" | tail -n +4
-  if [ -f BENCH_serve.json ]; then
-    tools/bench_compare.py BENCH_serve.json "$tmp/BENCH_serve.json" || true
-  fi
   echo "=== [bench] expt14 dist (byte-identity + soft compare) ==="
-  # Byte-identity of every node count (loopback and forked processes)
-  # against the serial reference is asserted inside the binary; the
-  # throughput/speedup comparison stays soft — the scaling columns only
-  # mean anything with more than one hardware thread.
+  # Byte-identity of every node count (loopback with and without hops,
+  # and forked processes) against the serial reference is asserted inside
+  # the binary; the throughput/speedup comparison stays soft — the scaling
+  # columns only mean anything with more than one hardware thread.
   SPIRE_BENCH_DIR="$tmp" "$dir/bench/expt14_dist" | tail -n +4
   if [ -f BENCH_dist.json ]; then
     tools/bench_compare.py BENCH_dist.json "$tmp/BENCH_dist.json" || true
