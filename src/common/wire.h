@@ -65,8 +65,10 @@ inline constexpr std::uint32_t kDistFrameMarker = 0x53504446;  // "SPDF"
 /// Version 1: Hello / EpochWork / SiteBatch / Barrier / Handoff payloads
 /// (dist/wire.h). Version 2 adds the StatsReport frame and the fleet
 /// observability fields: clock sync + stats cadence in Hello, a heartbeat
-/// stamp in Barrier, and a trace span id in Handoff. Peers reject any
-/// other version at the frame layer.
-inline constexpr std::uint16_t kDistProtocolVersion = 2;
+/// stamp in Barrier, and a trace span id in Handoff. Version 3 batches
+/// epochs: a node holds its replies until an EpochWork carrying the
+/// flush flag (dist/wire.h), which a version-2 coordinator never sets.
+/// Peers reject any other version at the frame layer.
+inline constexpr std::uint16_t kDistProtocolVersion = 3;
 
 }  // namespace spire

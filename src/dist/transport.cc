@@ -88,6 +88,22 @@ class LoopbackConn final : public Conn {
     return Status::OK();
   }
 
+  Status SendAll(std::vector<std::vector<std::uint8_t>>* frames) override {
+    if (frames->empty()) return Status::OK();
+    {
+      std::lock_guard<std::mutex> lock(send_->mu);
+      if (send_->closed) {
+        return Status::Internal("send on closed connection");
+      }
+      for (std::vector<std::uint8_t>& frame : *frames) {
+        send_->frames.push_back(std::move(frame));
+      }
+    }
+    frames->clear();
+    send_->ready.notify_one();
+    return Status::OK();
+  }
+
   Status Recv(std::vector<std::uint8_t>* frame, bool* eof) override {
     std::unique_lock<std::mutex> lock(recv_->mu);
     recv_->ready.wait(lock,
@@ -217,6 +233,13 @@ Status SendFrame(Conn* conn, FrameType type,
   const std::vector<std::uint8_t> frame = EncodeFrame(type, payload);
   CountFrame(type, frame.size());
   return conn->Send(frame);
+}
+
+void FrameBuffer::Add(FrameType type,
+                      const std::vector<std::uint8_t>& payload,
+                      std::uint8_t flags) {
+  frames_.push_back(EncodeFrame(type, payload, flags));
+  CountFrame(type, frames_.back().size());
 }
 
 Status RecvFrame(Conn* conn, Frame* frame, bool* eof) {

@@ -11,6 +11,8 @@
 //
 // Send is safe to call from one thread while Recv runs on another; neither
 // end may have two concurrent senders or two concurrent receivers.
+// SendAll hands several frames over as one delivery: the loopback peer
+// wakes once for the lot.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +32,16 @@ class Conn {
 
   /// Sends one encoded frame. Fails once the connection is closed.
   virtual Status Send(const std::vector<std::uint8_t>& frame) = 0;
+
+  /// Sends `frames` in order as one delivery and clears it. The default
+  /// sends them one by one.
+  virtual Status SendAll(std::vector<std::vector<std::uint8_t>>* frames) {
+    for (const std::vector<std::uint8_t>& frame : *frames) {
+      SPIRE_RETURN_NOT_OK(Send(frame));
+    }
+    frames->clear();
+    return Status::OK();
+  }
 
   /// Receives the next whole frame. On clean end-of-stream sets *eof and
   /// returns OK with `frame` untouched; mid-frame stream ends are errors.
@@ -51,6 +63,18 @@ std::unique_ptr<Conn> MakeFdConn(int fd);
 /// Encodes and sends one typed frame, counting dist/frames and dist/bytes.
 Status SendFrame(Conn* conn, FrameType type,
                  const std::vector<std::uint8_t>& payload);
+
+/// Typed frames held back and then sent together in one Conn::SendAll.
+/// Each is encoded and counted like SendFrame when it is added.
+class FrameBuffer {
+ public:
+  void Add(FrameType type, const std::vector<std::uint8_t>& payload,
+           std::uint8_t flags = 0);
+  Status Flush(Conn* conn) { return conn->SendAll(&frames_); }
+
+ private:
+  std::vector<std::vector<std::uint8_t>> frames_;
+};
 
 /// Receives and decodes (validates) one frame; sets *eof on clean stream
 /// end. Counts dist/frames and dist/bytes.

@@ -97,10 +97,8 @@ Columns BuildColumns(const EventStream& events, std::size_t first,
   return columns;
 }
 
-/// Varint column reader. Next reads straight from the payload while a
-/// 10-byte encoding still fits before its end, and through GetVarint64
-/// near it; both accept exactly the canonical encodings. A failed Next
-/// leaves `offset` at the bad varint, where Error() re-runs GetVarint64.
+/// Varint column reader over TryGetVarint64. A failed Next leaves
+/// `offset` at the bad varint, where Error() re-runs GetVarint64.
 struct VarintColumns {
   const std::uint8_t* in;
   std::size_t size;
@@ -109,34 +107,7 @@ struct VarintColumns {
   Status Begin(std::size_t /*n*/) { return Status::OK(); }
 
   bool Next(std::uint64_t* value) {
-    if (size - offset < kMaxVarintBytes) {
-      std::size_t end = offset;
-      auto decoded = GetVarint64(in, size, &end);
-      if (!decoded.ok()) return false;
-      *value = decoded.value();
-      offset = end;
-      return true;
-    }
-    std::uint64_t result = in[offset];
-    if (result < 0x80) {
-      *value = result;
-      offset += 1;
-      return true;
-    }
-    result &= 0x7f;
-    for (std::size_t i = 1; i < kMaxVarintBytes; ++i) {
-      const std::uint64_t byte = in[offset + i];
-      result |= (byte & 0x7f) << (7 * i);
-      if (byte >= 0x80) continue;
-      // GetVarint64's rules: no zero final byte; a 10th byte holds bit 63.
-      if (byte == 0 || (i == kMaxVarintBytes - 1 && byte > 1)) {
-        return false;
-      }
-      *value = result;
-      offset += i + 1;
-      return true;
-    }
-    return false;
+    return TryGetVarint64(in, size, &offset, value);
   }
 
   Status Error() { return GetVarint64(in, size, &offset).status(); }

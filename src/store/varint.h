@@ -64,6 +64,43 @@ inline Result<std::uint64_t> GetVarint64(const std::vector<std::uint8_t>& in,
   return GetVarint64(in.data(), in.size(), offset);
 }
 
+/// GetVarint64 for hot loops: accepts exactly the encodings GetVarint64
+/// accepts, and returns false where it would fail, leaving `*offset` at the
+/// bad varint so the caller can re-run GetVarint64 there for the message.
+/// Reads without per-byte bounds checks while a 10-byte encoding still fits
+/// before `size`, and through GetVarint64 near the end.
+inline bool TryGetVarint64(const std::uint8_t* in, std::size_t size,
+                           std::size_t* offset, std::uint64_t* value) {
+  // A local, not *offset: stores through `value` may alias it.
+  const std::size_t at = *offset;
+  if (size - at < kMaxVarintBytes) {
+    std::size_t end = at;
+    auto decoded = GetVarint64(in, size, &end);
+    if (!decoded.ok()) return false;
+    *value = decoded.value();
+    *offset = end;
+    return true;
+  }
+  std::uint64_t result = in[at];
+  if (result < 0x80) {
+    *value = result;
+    *offset = at + 1;
+    return true;
+  }
+  result &= 0x7f;
+  for (std::size_t i = 1; i < kMaxVarintBytes; ++i) {
+    const std::uint64_t byte = in[at + i];
+    result |= (byte & 0x7f) << (7 * i);
+    if (byte >= 0x80) continue;
+    // GetVarint64's rules: no zero final byte; a 10th byte holds bit 63.
+    if (byte == 0 || (i == kMaxVarintBytes - 1 && byte > 1)) return false;
+    *value = result;
+    *offset = at + i + 1;
+    return true;
+  }
+  return false;
+}
+
 /// Advances `*offset` past one varint without decoding it (column skip);
 /// applies the same length bound, but not the canonicality checks — the
 /// full-decode path is the validator.

@@ -186,6 +186,38 @@ TEST(VarintTest, RejectsNonCanonicalPadding) {
   EXPECT_EQ(decoded.value(), 0u);
 }
 
+TEST(VarintTest, TryGetAgreesWithGetVarint64) {
+  // Random bytes, mostly continuation bytes so that long, overflowing and
+  // zero-terminated encodings all occur, decoded from every offset: the
+  // unchecked fast path (10+ bytes left) and the near-end path must both
+  // accept exactly what GetVarint64 accepts, and leave the offset at a
+  // rejected varint.
+  std::mt19937_64 rng(41);
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<std::uint8_t> bytes(1 + rng() % 24);
+    for (std::uint8_t& byte : bytes) {
+      const std::uint64_t draw = rng();
+      byte = static_cast<std::uint8_t>(draw % 4 == 0 ? (draw >> 8) % 3
+                                                     : 0x80 | (draw >> 8));
+    }
+    for (std::size_t start = 0; start <= bytes.size(); ++start) {
+      std::size_t expect_offset = start;
+      auto expect = GetVarint64(bytes.data(), bytes.size(), &expect_offset);
+      std::size_t offset = start;
+      std::uint64_t value = 0;
+      const bool ok =
+          TryGetVarint64(bytes.data(), bytes.size(), &offset, &value);
+      ASSERT_EQ(ok, expect.ok()) << "round " << round << " start " << start;
+      if (ok) {
+        EXPECT_EQ(value, expect.value());
+        EXPECT_EQ(offset, expect_offset);
+      } else {
+        EXPECT_EQ(offset, start);
+      }
+    }
+  }
+}
+
 TEST(VarintTest, ZigzagRoundTrips) {
   const std::int64_t values[] = {0, -1, 1, -2, 1000, -1000,
                                  std::numeric_limits<std::int64_t>::min(),
